@@ -5,15 +5,14 @@
  *
  * Usage:
  *   morpheus_cli <app> [system] [compute_sms] [cache_sms]
- *                [--checkpoint FILE [--checkpoint-every N]] [--run-threads N]
+ *                [--checkpoint FILE [--checkpoint-every N]]
  *   morpheus_cli --restore FILE
  *   morpheus_cli --list
- *   morpheus_cli --scenario <name> [--jobs N] [--run-threads N]
- *                [--format text|csv|json]
+ *   morpheus_cli --scenario <name> [--jobs N] [--format text|csv|json]
  *                [--trace FILE] [--output FILE] [--fault-plan SPEC]
  *                [--journal PATH] [--resume] [--timeout-ms N] [--retries N]
  *                [--cache-dir DIR]
- *   morpheus_cli --all [--jobs N] [--run-threads N] [--format text|csv|json]
+ *   morpheus_cli --all [--jobs N] [--format text|csv|json]
  *                [--output-dir DIR]
  *
  *   app     one of the 17 Table 2 names (p-bfs, cfd, ..., mri-q)
@@ -24,10 +23,7 @@
  *
  * Scenario mode runs any registered experiment sweep (every paper figure
  * and table) through the SweepEngine: --jobs N shards its independent
- * simulation runs over N worker threads with byte-identical output, and
- * --run-threads N additionally parallelizes *inside* each simulation run
- * (domain-partitioned conservative windows; see docs/ARCHITECTURE.md
- * "Parallel execution") — also byte-identical for every N.
+ * simulation runs over N worker threads with byte-identical output.
  * --output persists the run's metrics as a BENCH_<scenario>.json report
  * (docs/REPORT_SCHEMA.md); --all runs every scenario, writing one report
  * per scenario into --output-dir (the regression-gate input for
@@ -189,15 +185,13 @@ usage()
     std::fprintf(stderr,
                  "usage: morpheus_cli <app> [BL|IBL|IBL4X|FREQ|UNIFIED|BASIC|COMPR|MOV|ALL|"
                  "LARGER] [compute_sms cache_sms]"
-                 " [--checkpoint FILE [--checkpoint-every N]] [--run-threads N]\n"
+                 " [--checkpoint FILE [--checkpoint-every N]]\n"
                  "       morpheus_cli --restore FILE\n"
                  "       morpheus_cli --list\n"
-                 "       morpheus_cli --scenario <name> [--jobs N] [--run-threads N]"
-                 " [--format text|csv|json]"
+                 "       morpheus_cli --scenario <name> [--jobs N] [--format text|csv|json]"
                  " [--trace FILE] [--output FILE] [--fault-plan SPEC] [--journal PATH]"
                  " [--resume] [--timeout-ms N] [--retries N] [--cache-dir DIR]\n"
-                 "       morpheus_cli --all [--jobs N] [--run-threads N]"
-                 " [--format text|csv|json]"
+                 "       morpheus_cli --all [--jobs N] [--format text|csv|json]"
                  " [--output-dir DIR]\n"
                  "apps:");
     for (const auto &app : app_catalog())
@@ -312,22 +306,8 @@ main(int argc, char **argv)
             }
             checkpoint_every = v;
             ++i;
-        } else if (std::strcmp(argv[i], "--run-threads") == 0 && i + 1 < argc) {
-            // Same strict numeric validation as --jobs: digits only,
-            // 0 = process default (serial unless MORPHEUS_RUN_THREADS).
-            char *end = nullptr;
-            const long v = std::strtol(argv[i + 1], &end, 10);
-            if (end == argv[i + 1] || *end != '\0' || v < 0) {
-                std::fprintf(stderr,
-                             "invalid --run-threads value '%s' (expected N >= 0; 0 = auto)\n",
-                             argv[i + 1]);
-                return 2;
-            }
-            setup.run_threads = static_cast<unsigned>(v);
-            ++i;
         } else {
-            suggest("argument", argv[i],
-                    {"--checkpoint", "--checkpoint-every", "--run-threads"});
+            suggest("argument", argv[i], {"--checkpoint", "--checkpoint-every"});
             usage();
             return 2;
         }

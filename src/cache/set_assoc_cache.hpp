@@ -89,25 +89,6 @@ class SetAssocCache
     /** Drops @p line if present; returns its eviction record. */
     std::optional<Eviction> invalidate(LineAddr line);
 
-    /**
-     * Replaces @p line's stored version with @p real iff the line is
-     * present and still holds @p expected (parallel-in-run placeholder
-     * resolution; a mismatch means the line was refilled or evicted in
-     * the meantime and there is nothing to patch). No replacement-state
-     * or counter updates — purely a version rewrite.
-     */
-    void
-    patch_version(LineAddr line, std::uint64_t expected, std::uint64_t real)
-    {
-        const std::uint32_t set = set_index(line);
-        const int way = find_way(set, line);
-        if (way < 0)
-            return;
-        Line &ln = line_at(set, static_cast<std::uint32_t>(way));
-        if (ln.valid && ln.version == expected)
-            ln.version = real;
-    }
-
     /** Writes every dirty line back via @p sink and clears the cache. */
     template <typename Sink>
     void

@@ -8,37 +8,9 @@
 
 #include "morpheus/address_separator.hpp"
 #include "morpheus/morpheus_controller.hpp"
-#include "sim/domain_executor.hpp"
 #include "sim/state_io.hpp"
 
 namespace morpheus {
-
-namespace {
-
-std::atomic<unsigned> g_run_threads{0};
-
-} // namespace
-
-unsigned
-default_run_threads()
-{
-    unsigned v = g_run_threads.load(std::memory_order_relaxed);
-    if (v != 0)
-        return v;
-    if (const char *env = std::getenv("MORPHEUS_RUN_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-    }
-    return 1;
-}
-
-void
-set_default_run_threads(unsigned n)
-{
-    g_run_threads.store(n, std::memory_order_relaxed);
-}
-
 namespace {
 
 NocParams
@@ -68,11 +40,6 @@ GpuSystem::GpuSystem(const SystemSetup &setup, Workload &workload)
     assert(setup_.compute_sms + setup_.morpheus.cache_sms <= cfg.num_sms);
 
     ctx_ = FabricContext{&eq_, &noc_, &dram_, &store_, &energy_, &setup_.cfg};
-    // Domain indirection: components copy ctx_ by value, so they carry
-    // pointers to these *slots*; the targets stay null for serial runs
-    // and are filled by the DomainExecutor when a parallel run begins.
-    ctx_.delivery_slot = &delivery_sink_;
-    domain_of_sm_.assign(setup_.compute_sms, nullptr);
 
     if (cfg.mem_frequency_scale != 1.0) {
         noc_.set_frequency_scale(cfg.mem_frequency_scale);
@@ -100,11 +67,8 @@ GpuSystem::GpuSystem(const SystemSetup &setup, Workload &workload)
         }
     }
 
-    for (std::uint32_t i = 0; i < setup_.compute_sms; ++i) {
-        FabricContext sm_ctx = ctx_;
-        sm_ctx.domain_slot = &domain_of_sm_[i];
-        sms_.push_back(std::make_unique<Sm>(i, sm_ctx, this, &workload_));
-    }
+    for (std::uint32_t i = 0; i < setup_.compute_sms; ++i)
+        sms_.push_back(std::make_unique<Sm>(i, ctx_, this, &workload_));
 
     if (setup_.l1_bonus_bytes > 0) {
         for (auto &sm : sms_)
@@ -122,19 +86,6 @@ GpuSystem::controller(std::uint32_t p)
 
 void
 GpuSystem::to_llc(Cycle when, const MemRequest &req, RespFn resp)
-{
-    // Parallel mode: the caller is an SM domain draining inside a
-    // window; record the request as a channel op — the executor replays
-    // it through to_llc_direct on the spine at the exact serial position.
-    if (exec_) {
-        exec_->log_channel(when, req, std::move(resp));
-        return;
-    }
-    to_llc_direct(when, req, std::move(resp));
-}
-
-void
-GpuSystem::to_llc_direct(Cycle when, const MemRequest &req, RespFn resp)
 {
     const std::uint32_t p = partition_of(req.line, setup_.cfg.llc_partitions);
     const std::uint32_t payload = req.type == AccessType::kRead ? 0 : kLineBytes;
@@ -163,68 +114,26 @@ GpuSystem::begin()
         sm->start();
 }
 
-unsigned
-GpuSystem::resolved_run_threads() const
-{
-    const unsigned t = setup_.run_threads ? setup_.run_threads : default_run_threads();
-    return t ? t : 1;
-}
-
-void
-GpuSystem::begin_run()
-{
-    // Parallel execution needs at least one cycle of crossbar hop latency
-    // (the conservative lookahead window); a zero-hop configuration —
-    // extreme frequency scaling — falls back to the serial loop.
-    const unsigned threads = resolved_run_threads();
-    if (threads > 1 && !sms_.empty() && noc_.hop_cycles() >= 1) {
-        exec_ = std::make_unique<DomainExecutor>(*this, threads);
-        exec_->begin();
-    } else {
-        begin();
-    }
-}
-
-void
-GpuSystem::advance_to(Cycle stop, const std::atomic<bool> *cancel)
-{
-    if (exec_)
-        exec_->advance(stop, cancel);
-    else
-        eq_.run_until(stop, cancel);
-}
-
-std::uint64_t
-GpuSystem::parallel_windows() const
-{
-    return exec_ ? exec_->windows() : 0;
-}
-
 RunResult
 GpuSystem::run(const RunControls &rc)
 {
-    begin_run();
+    begin();
     // The fault event is scheduled after every SM's initial issue event,
     // so it shifts all later sequence numbers uniformly — relative event
     // order (and thus determinism of the surviving work) is unaffected.
-    // In parallel mode it lands on the spine, whose sequence counter has
-    // mirrored every SM bootstrap event, so the seq it gets is identical.
     if (rc.fault != RunFault::kNone && rc.fault_cycle > 0)
         eq_.schedule(rc.fault_cycle, [this, &rc] { trigger_fault(rc); });
 
     const Cycle target = setup_.cfg.max_cycles;
     if (rc.checkpoint_every == 0) {
-        advance_to(target, rc.cancel);
+        eq_.run_until(target, rc.cancel);
     } else {
         // Chunked execution is bit-identical to one run_until(target):
         // nothing enqueues between chunks, and run_until leaves now() at
-        // the last executed event. (The parallel window loop honors the
-        // same chunk edges, so checkpoint boundaries are mode-invariant.)
+        // the last executed event.
         for (Cycle boundary = rc.checkpoint_every;; boundary += rc.checkpoint_every) {
             const Cycle stop = std::min(boundary, target);
-            advance_to(stop, rc.cancel);
-            // Every pending domain event is mirrored by a spine ghost, so
-            // an empty spine queue means the whole system is drained.
+            eq_.run_until(stop, rc.cancel);
             const bool final = eq_.empty();
             if (rc.on_checkpoint)
                 rc.on_checkpoint(*this, stop, final);

@@ -49,13 +49,6 @@ class L1Cache
     std::uint64_t hits() const { return cache_.hits(); }
     std::uint64_t misses() const { return cache_.misses(); }
     std::uint64_t capacity_bytes() const { return cache_.capacity_bytes(); }
-
-    /** Placeholder write-version resolution (DomainExecutor barrier). */
-    void
-    patch_version(LineAddr line, std::uint64_t expected, std::uint64_t real)
-    {
-        cache_.patch_version(line, expected, real);
-    }
     const MshrTable &mshrs() const { return mshrs_; }
     ///@}
 

@@ -3,16 +3,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 
-#include "mem/backing_store.hpp"
-#include "power/energy_model.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/sim_domain.hpp"
 #include "sim/types.hpp"
 
 namespace morpheus {
 
+class EventQueue;
 class Crossbar;
 class DramModel;
 class BackingStore;
@@ -57,94 +53,6 @@ struct FabricContext
     BackingStore *store = nullptr;
     EnergyModel *energy = nullptr;
     const GpuConfig *cfg = nullptr;
-
-    /**
-     * @name Domain indirection (parallel-in-run execution)
-     *
-     * SM-side components carry a pointer to their owning GpuSystem's
-     * per-SM domain slot; memory-side components carry the delivery-sink
-     * slot. Both slots stay null in serial runs, so every helper below
-     * degrades to the plain EventQueue path — serial behavior is
-     * untouched. The slots (not the targets) are bound at construction,
-     * before any executor exists; GpuSystem fills the targets when a
-     * parallel run begins.
-     */
-    ///@{
-    SimDomain *const *domain_slot = nullptr;
-    DomainDeliverySink *const *delivery_slot = nullptr;
-
-    /** This component's domain, or nullptr (serial / memory side). */
-    SimDomain *domain() const { return domain_slot ? *domain_slot : nullptr; }
-
-    /** Current simulated time as seen by this component. */
-    Cycle
-    now() const
-    {
-        const SimDomain *d = domain();
-        return d ? d->now() : eq->now();
-    }
-
-    /** Schedules @p fn at @p when on this component's calendar. */
-    template <typename F>
-    void
-    sched(Cycle when, F &&fn) const
-    {
-        if (SimDomain *d = domain())
-            d->schedule(when, std::forward<F>(fn));
-        else
-            eq->schedule(when, std::forward<F>(fn));
-    }
-
-    /** Allocates the next write version (or a placeholder token that the
-     *  executor resolves at the exact serial position). */
-    std::uint64_t
-    alloc_version() const
-    {
-        if (SimDomain *d = domain())
-            return d->alloc_version_placeholder();
-        return store->next_version();
-    }
-
-    /** Notes that domain-local cache state holds version @p v for
-     *  @p line; no-op unless @p v is a placeholder token. */
-    void
-    note_version_store(LineAddr line, std::uint64_t v) const
-    {
-        SimDomain *d = domain();
-        if (d && (v & SimDomain::kVersionToken))
-            d->note_version_sink(line, v);
-    }
-
-    /** Energy accounting hooks for SM-side components. */
-    void
-    count_instructions(std::uint64_t n) const
-    {
-        if (SimDomain *d = domain())
-            d->log_energy_instr(n);
-        else
-            energy->add_instructions(n);
-    }
-
-    void
-    count_l1_bytes(std::uint64_t bytes) const
-    {
-        if (SimDomain *d = domain())
-            d->log_energy_l1(bytes);
-        else
-            energy->add_l1_bytes(bytes);
-    }
-
-    /** Memory-side response delivery into SM @p sm's calendar. */
-    template <typename F>
-    void
-    deliver_to_sm(std::uint32_t sm, Cycle when, F &&fn) const
-    {
-        if (DomainDeliverySink *sink = delivery_slot ? *delivery_slot : nullptr)
-            sink->deliver_to_sm(sm, when, EventFn(std::forward<F>(fn)));
-        else
-            eq->schedule(when, std::forward<F>(fn));
-    }
-    ///@}
 };
 
 /**

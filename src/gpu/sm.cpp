@@ -23,7 +23,7 @@ Sm::start()
     const std::uint32_t n = workload_->warps_on(index_);
     warps_.assign(n, WarpState{});
     live_warps_ = n;
-    const Cycle now = ctx_.now();
+    const Cycle now = ctx_.eq->now();
     for (std::uint32_t w = 0; w < n; ++w) {
         // Stagger warp launches (CTA rasterization) so the memory system
         // does not see a single synchronized thundering herd at t=0.
@@ -45,14 +45,14 @@ Sm::schedule_issue(Cycle when)
     issue_pending_ = true;
     issue_event_at_ = when;
     ++issue_events_;
-    ctx_.sched(when, [this] { issue(); });
+    ctx_.eq->schedule(when, [this] { issue(); });
 }
 
 void
 Sm::issue()
 {
     issue_pending_ = false;
-    const Cycle now = ctx_.now();
+    const Cycle now = ctx_.eq->now();
 
     while (!ready_.empty()) {
         const ReadyEntry top = ready_.top();
@@ -73,7 +73,7 @@ Sm::issue()
         issue_port_.acquire(now, n_instr);
         const Cycle end = issue_port_.next_free();
         instructions_ += n_instr;
-        ctx_.count_instructions(n_instr);
+        ctx_.energy->add_instructions(n_instr);
 
         if (step.num_lines == 0) {
             // Pure-ALU step: the warp is ready again once issued.
@@ -85,7 +85,7 @@ Sm::issue()
         const bool blocking = step.type != AccessType::kWrite || ctx_.cfg->blocking_writes;
         std::uint64_t version = 0;
         if (step.type != AccessType::kRead)
-            version = ctx_.alloc_version();
+            version = ctx_.store->next_version();
 
         WarpState &ws = warps_[top.warp];
         if (blocking) {

@@ -20,12 +20,6 @@
  * tests/test_result_cache.cpp pins the digest of a fixed configuration,
  * so a silent change fails loudly there instead of surfacing as stale
  * checkpoint loads or a cold cache.
- *
- * SystemSetup::run_threads is deliberately NOT encoded: execution mode
- * is a property of the process, not of the simulated configuration, and
- * results are byte-identical for every value (docs/ARCHITECTURE.md
- * "Parallel execution") — so a serial and a parallel run share one
- * cache entry and one checkpoint identity.
  */
 
 #include "gpu/gpu_system.hpp"

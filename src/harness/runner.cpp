@@ -68,17 +68,15 @@ restore_run(const Checkpoint &ck)
     // the replayed state matches the stored blob byte for byte before
     // trusting the continuation. This is where in-flight events get
     // re-registered — by the components re-executing, not by closure
-    // serialization. begin_run()/advance_to() honor the resolved
-    // execution mode, and parallel replay is byte-identical to serial,
-    // so a `.mchk` captured under either mode restores under either.
-    system.begin_run();
-    system.advance_to(ck.cycle);
+    // serialization.
+    system.begin();
+    system.event_queue().run_until(ck.cycle);
     StateWriter w;
     system.save_state(w);
     if (w.bytes() != ck.state)
         throw StateError("checkpoint restore: replayed state diverges from stored state "
                          "(non-deterministic run or mismatched build?)");
-    system.advance_to(ck.setup.cfg.max_cycles);
+    system.event_queue().run_until(ck.setup.cfg.max_cycles);
     return system.collect_results();
 }
 

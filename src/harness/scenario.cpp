@@ -11,7 +11,6 @@
 #include <optional>
 #include <system_error>
 
-#include "gpu/gpu_system.hpp"
 #include "harness/report.hpp"
 #include "harness/sweep_engine.hpp"
 #include "serve/result_cache.hpp"
@@ -36,30 +35,6 @@ list_scenarios(std::ostream &os)
         os << "  " << s.name << "\n      " << s.description << "\n";
 }
 
-namespace {
-
-/** Applies ScenarioOptions::run_threads as the process default for the
- *  duration of one scenario (scenarios build SystemSetups internally and
- *  inherit the default); restores the previous default on scope exit. */
-class ScopedRunThreads
-{
-  public:
-    explicit ScopedRunThreads(unsigned n) : prev_(default_run_threads())
-    {
-        if (n)
-            set_default_run_threads(n);
-    }
-    ~ScopedRunThreads() { set_default_run_threads(prev_); }
-
-    ScopedRunThreads(const ScopedRunThreads &) = delete;
-    ScopedRunThreads &operator=(const ScopedRunThreads &) = delete;
-
-  private:
-    unsigned prev_;
-};
-
-} // namespace
-
 int
 run_scenario_with_report(const Scenario &s, ScenarioOptions opts, const std::string &output_path)
 {
@@ -67,7 +42,6 @@ run_scenario_with_report(const Scenario &s, ScenarioOptions opts, const std::str
     report.set_work_scale(work_scale());
     report.set_jobs(opts.jobs ? opts.jobs : default_sweep_jobs());
     opts.report = &report;
-    const ScopedRunThreads threads_guard(opts.run_threads);
 
     // --cache-dir: memoize grid points in an on-disk content-addressed
     // store (docs/CACHE_FORMAT.md). The cache outlives each SweepEngine
@@ -168,23 +142,16 @@ run_all_scenarios(const ScenarioOptions &opts, const std::string &output_dir)
 namespace {
 
 bool
-parse_thread_count(const char *arg, const char *flag, unsigned &out)
+parse_jobs_value(const char *arg, unsigned &out)
 {
     char *end = nullptr;
     const long v = std::strtol(arg, &end, 10);
     if (end == arg || *end != '\0' || v < 0) {
-        std::fprintf(stderr, "invalid %s value '%s' (expected N >= 0; 0 = auto)\n", flag,
-                     arg);
+        std::fprintf(stderr, "invalid --jobs value '%s' (expected N >= 0; 0 = auto)\n", arg);
         return false;
     }
     out = static_cast<unsigned>(v);
     return true;
-}
-
-bool
-parse_jobs_value(const char *arg, unsigned &out)
-{
-    return parse_thread_count(arg, "--jobs", out);
 }
 
 /** Levenshtein distance (for near-miss flag suggestions). */
@@ -250,9 +217,6 @@ parse_scenario_flags(int argc, char **argv, const char *path_flag, ScenarioOptio
         if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
             if (!parse_jobs_value(argv[++i], opts.jobs))
                 return false;
-        } else if (std::strcmp(argv[i], "--run-threads") == 0 && i + 1 < argc) {
-            if (!parse_thread_count(argv[++i], "--run-threads", opts.run_threads))
-                return false;
         } else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
             if (!parse_table_format(argv[++i], opts.format)) {
                 std::fprintf(stderr, "unknown format '%s' (text|csv|json)\n", argv[i]);
@@ -283,13 +247,13 @@ parse_scenario_flags(int argc, char **argv, const char *path_flag, ScenarioOptio
         } else if (std::strcmp(argv[i], path_flag) == 0 && i + 1 < argc) {
             path = argv[++i];
         } else {
-            const char *known[] = {"--jobs",       "--run-threads", "--format",
-                                   "--trace",      "--fault-plan",  "--journal",
-                                   "--resume",     "--timeout-ms",  "--retries",
-                                   "--cache-dir",  path_flag};
+            const char *known[] = {"--jobs",       "--format",     "--trace",
+                                   "--fault-plan", "--journal",    "--resume",
+                                   "--timeout-ms", "--retries",    "--cache-dir",
+                                   path_flag};
             suggest_flag(argv[i], known, sizeof(known) / sizeof(known[0]));
             std::fprintf(stderr,
-                         "usage: %s [--jobs N] [--run-threads N] [--format text|csv|json] "
+                         "usage: %s [--jobs N] [--format text|csv|json] "
                          "[--trace FILE] [--fault-plan SPEC] [--journal PATH] [--resume] "
                          "[--timeout-ms N] [--retries N] [--cache-dir DIR] [%s PATH]\n",
                          argv[0], path_flag);

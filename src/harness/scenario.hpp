@@ -24,10 +24,6 @@ struct ScenarioOptions
 {
     /** Sweep worker threads (0 = default_sweep_jobs()). */
     unsigned jobs = 0;
-    /** In-run worker threads per simulation (`--run-threads N`; 0 keeps
-     *  the process default). Reports are byte-identical for any value —
-     *  parallelism changes wall-clock time only. */
-    unsigned run_threads = 0;
     TableFormat format = TableFormat::kText;
     /** Output stream; nullptr means std::cout. */
     std::ostream *out = nullptr;

@@ -64,10 +64,6 @@ class Crossbar
     /** Applies a clock multiplier (Frequency-Boost system). */
     void set_frequency_scale(double scale);
 
-    /** Current per-hop latency in cycles — the minimum cross-domain
-     *  delay, i.e. the conservative lookahead window of a parallel run. */
-    Cycle hop_cycles() const { return hop_cycles_; }
-
     /** @name Statistics (§7.4 interconnect analysis) */
     ///@{
     std::uint64_t transfers() const { return transfers_; }

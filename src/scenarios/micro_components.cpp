@@ -19,7 +19,6 @@
 #include "cache/bdi.hpp"
 #include "cache/bloom_filter.hpp"
 #include "cache/set_assoc_cache.hpp"
-#include "gpu/gpu_system.hpp"
 #include "harness/report.hpp"
 #include "harness/sweep_engine.hpp"
 #include "harness/table.hpp"
@@ -30,7 +29,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "workloads/block_data.hpp"
-#include "workloads/synthetic_workload.hpp"
 
 namespace morpheus::scenarios {
 namespace {
@@ -114,38 +112,6 @@ bm_predictor_access_fused()
         const LineAddr line = rng.next_below(4096);
         do_not_optimize(pred.access_and_predict(line));
     });
-}
-
-MicroResult
-bm_domain_window_barrier()
-{
-    // Full conservative-window machinery on a small parallel run: drain /
-    // spine-replay / barrier per window. Reported per completed window,
-    // so it bounds the fixed overhead parallel execution adds per
-    // lookahead interval.
-    SystemSetup setup;
-    setup.compute_sms = 8;
-    setup.run_threads = 2;
-    WorkloadParams p;
-    p.name = "micro-window";
-    p.pattern = PatternKind::kPrivateLoop;
-    p.shared_ws_bytes = 1 << 20;
-    p.per_warp_ws_bytes = 4 * 1024;
-    p.warps_per_sm = 8;
-    p.total_mem_instrs = 20'000;
-
-    std::uint64_t windows = 0;
-    const auto begin = std::chrono::steady_clock::now();
-    SyntheticWorkload workload(p);
-    GpuSystem system(setup, workload);
-    system.begin_run();
-    system.advance_to(setup.cfg.max_cycles);
-    do_not_optimize(system.collect_results());
-    windows = system.parallel_windows();
-    const auto end = std::chrono::steady_clock::now();
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin).count());
-    return MicroResult{windows, windows ? ns / static_cast<double>(windows) : 0.0};
 }
 
 MicroResult
@@ -316,7 +282,6 @@ run_micro_components(const ScenarioOptions &opts)
     pool.submit("bloom_query/2048", [] { return bm_bloom_query(2048); });
     pool.submit("predictor_access", [] { return bm_predictor_access(); });
     pool.submit("predictor_access_fused", [] { return bm_predictor_access_fused(); });
-    pool.submit("domain_window_barrier", [] { return bm_domain_window_barrier(); });
     pool.submit("bdi_compress", [] { return bm_bdi_compress(); });
     pool.submit("bdi_round_trip", [] { return bm_bdi_round_trip(); });
     pool.submit("bdi_encode", [] { return bm_bdi_encode(); });

@@ -172,8 +172,11 @@ is_entry_name(const std::string &filename, std::uint64_t &key)
     // <016x>.mrce, nothing more.
     if (filename.size() != 21 || filename.compare(16, 5, ".mrce") != 0)
         return false;
+    // strtoull's end pointer points into its argument, so the digits
+    // need a named copy that outlives the check (not a temporary).
+    const std::string digits = filename.substr(0, 16);
     char *end = nullptr;
-    key = std::strtoull(filename.substr(0, 16).c_str(), &end, 16);
+    key = std::strtoull(digits.c_str(), &end, 16);
     return end && *end == '\0';
 }
 

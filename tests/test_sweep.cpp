@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
+#include "harness/report.hpp"
+#include "harness/scenario.hpp"
 #include "harness/sweep_engine.hpp"
 #include "harness/system_config.hpp"
 
@@ -47,6 +53,54 @@ run_with_workers(unsigned workers)
         engine.add(job);
     return engine.run_all();
 }
+
+struct ScenarioRun
+{
+    int rc = 0;
+    std::string text;
+    RunReport report{""};
+};
+
+ScenarioRun
+run_scenario_with_jobs(const Scenario &s, unsigned jobs)
+{
+    ScenarioRun out;
+    out.report = RunReport(s.name);
+    ScenarioOptions opts;
+    opts.jobs = jobs;
+    opts.report = &out.report;
+    std::ostringstream os;
+    opts.out = &os;
+    out.rc = s.run(opts);
+    out.text = os.str();
+    return out;
+}
+
+/** Sets an environment variable for one scope, restoring the old value. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (old_)
+            setenv(name_, old_->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
 
 } // namespace
 
@@ -152,4 +206,23 @@ TEST(SweepEngine, LabelsSurviveTheRoundTrip)
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].label, "first");
     EXPECT_EQ(results[1].label, "second");
+}
+
+TEST(SweepEngine, EveryScenarioByteIdenticalAcrossJobCounts)
+{
+    // End-to-end form of ParallelOutputIdenticalToSerial: every registered
+    // deterministic scenario prints the same text and records the same
+    // report whether its grid runs on one sweep worker or four.
+    const ScopedEnv scale("MORPHEUS_WORK_SCALE", "0.01");
+    for (const Scenario &s : scenario_registry()) {
+        const ScenarioRun serial = run_scenario_with_jobs(s, 1);
+        ASSERT_EQ(serial.rc, 0) << s.name;
+        if (!serial.report.deterministic())
+            continue; // wall-clock measurements (micro_components)
+        const ScenarioRun pooled = run_scenario_with_jobs(s, 4);
+        EXPECT_EQ(pooled.rc, serial.rc) << s.name;
+        EXPECT_EQ(pooled.text, serial.text) << s.name << " output differs at --jobs 4";
+        EXPECT_TRUE(reports_identical(serial.report, pooled.report))
+            << s.name << " report differs at --jobs 4";
+    }
 }
