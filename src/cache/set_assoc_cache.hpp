@@ -20,7 +20,10 @@ namespace morpheus {
  * hierarchy). Timing is the owner's job: this class only answers hit/miss
  * and performs state transitions.
  *
- * Used for the per-SM L1 caches and the conventional LLC banks.
+ * Used for the per-SM L1 caches and the conventional LLC banks, so every
+ * simulated access scans a set here. Storage is struct-of-arrays: a hit
+ * scan reads only the dense tag array (8 bytes per way, validity folded
+ * into the tag), and versions and dirty bits sit in parallel arrays.
  */
 class SetAssocCache
 {
@@ -94,14 +97,11 @@ class SetAssocCache
     void
     flush(Sink &&sink)
     {
-        for (std::uint32_t s = 0; s < sets_; ++s) {
-            for (std::uint32_t w = 0; w < ways_; ++w) {
-                Line &ln = line_at(s, w);
-                if (ln.valid && ln.dirty)
-                    sink(ln.line, ln.version);
-                ln.valid = false;
-                ln.dirty = false;
-            }
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
+            if ((tags_[i] & kValidBit) && dirty_[i])
+                sink(tags_[i] & ~kValidBit, versions_[i]);
+            tags_[i] &= ~kValidBit;
+            dirty_[i] = 0;
         }
     }
 
@@ -120,7 +120,19 @@ class SetAssocCache
     void
     state(A &ar)
     {
-        ar.objs(lines_);
+        // One (line, valid, dirty, version) record per way, in way order.
+        std::vector<WayRecord> ways(tags_.size());
+        for (std::size_t i = 0; i < ways.size(); ++i)
+            ways[i] = WayRecord{tags_[i] & ~kValidBit, (tags_[i] & kValidBit) != 0,
+                                dirty_[i] != 0, versions_[i]};
+        ar.objs(ways);
+        if constexpr (!A::kIsWriter) {
+            for (std::size_t i = 0; i < ways.size(); ++i) {
+                tags_[i] = ways[i].line | (ways[i].valid ? kValidBit : 0);
+                dirty_[i] = ways[i].dirty;
+                versions_[i] = ways[i].version;
+            }
+        }
         ar.objs(repl_);
         ar.field(hits_);
         ar.field(misses_);
@@ -130,7 +142,15 @@ class SetAssocCache
     }
 
   private:
-    struct Line
+    /**
+     * Tag of a valid way: its line with this bit set. Invalidation clears
+     * the bit and keeps the stale line, which state() still reports. No
+     * real line address reaches bit 63 (lines are byte addresses / 128).
+     */
+    static constexpr std::uint64_t kValidBit = std::uint64_t{1} << 63;
+
+    /** Checkpoint view of one way. */
+    struct WayRecord
     {
         LineAddr line = 0;
         bool valid = false;
@@ -148,10 +168,10 @@ class SetAssocCache
         }
     };
 
-    Line &line_at(std::uint32_t set, std::uint32_t way) { return lines_[set * ways_ + way]; }
-    const Line &line_at(std::uint32_t set, std::uint32_t way) const
+    /** Index of @p set's way 0 in the per-way arrays. */
+    std::size_t base_of(std::uint32_t set) const
     {
-        return lines_[set * ways_ + way];
+        return static_cast<std::size_t>(set) * ways_;
     }
 
     /** Finds the way holding @p line in @p set, or -1. */
@@ -160,7 +180,12 @@ class SetAssocCache
     std::uint32_t sets_;
     std::uint32_t ways_;
     bool hashed_index_;
-    std::vector<Line> lines_;
+    /** Power-of-two set counts index by mask, others by modulo. */
+    bool pow2_sets_;
+    /** Per-way state, set-major. A hit scan touches only tags_. */
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> versions_;
+    std::vector<std::uint8_t> dirty_;
     std::vector<ReplacementState> repl_;
 
     std::uint64_t hits_ = 0;

@@ -3,8 +3,8 @@
  * Microbenchmark suite for the hot components of the simulator and of
  * Morpheus itself: Bloom filters, the dual-filter predictor, BDI
  * compression, the tag-lookup / Indirect-MOV warp emulation, the
- * set-associative cache, the extended-LLC set, the event queue, and the
- * Zipf sampler.
+ * set-associative cache, the MSHR table, the extended-LLC set, the event
+ * queue, and the Zipf sampler.
  *
  * Self-contained timing loops (no external benchmark framework): each
  * component runs a fixed deterministic iteration count under
@@ -18,6 +18,7 @@
 
 #include "cache/bdi.hpp"
 #include "cache/bloom_filter.hpp"
+#include "cache/mshr.hpp"
 #include "cache/set_assoc_cache.hpp"
 #include "harness/report.hpp"
 #include "harness/sweep_engine.hpp"
@@ -210,6 +211,32 @@ bm_cache_access()
 }
 
 MicroResult
+bm_mshr_allocate_release()
+{
+    // An L1-sized table kept 16 lines deep: each op releases the oldest
+    // outstanding line (waking its waiters), then allocates or merges a
+    // miss on one of 64 hot lines.
+    constexpr std::size_t kWindow = 16;
+    MshrTable mshrs(32);
+    Rng rng(21);
+    std::vector<LineAddr> ring(kWindow, 0);
+    std::uint64_t woken = 0;
+    auto r = time_op(1'000'000, [&](std::uint64_t i) {
+        const std::size_t slot = i % kWindow;
+        if (i >= kWindow) {
+            for (auto &w : mshrs.release(ring[slot]))
+                w(static_cast<Cycle>(i), 0);
+        }
+        const LineAddr line = rng.next_below(64);
+        if (mshrs.has(line) || !mshrs.full())
+            mshrs.allocate_or_merge(line, [&woken](Cycle, std::uint64_t) { ++woken; });
+        ring[slot] = line;
+    });
+    do_not_optimize(woken);
+    return r;
+}
+
+MicroResult
 bm_ext_set_insert_lookup(bool compression)
 {
     ExtSet set(48 * 128, compression, 10'000);
@@ -289,6 +316,7 @@ run_micro_components(const ScenarioOptions &opts)
     pool.submit("warp_tag_lookup", [] { return bm_warp_tag_lookup(); });
     pool.submit("indirect_mov_read", [] { return bm_indirect_mov_read(); });
     pool.submit("cache_access", [] { return bm_cache_access(); });
+    pool.submit("mshr_allocate_release", [] { return bm_mshr_allocate_release(); });
     pool.submit("ext_set_insert_lookup/plain", [] { return bm_ext_set_insert_lookup(false); });
     pool.submit("ext_set_insert_lookup/comp", [] { return bm_ext_set_insert_lookup(true); });
     pool.submit("event_queue", [] { return bm_event_queue(); });
