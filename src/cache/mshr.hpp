@@ -167,46 +167,6 @@ class MshrTable
     std::size_t peak_occupancy() const { return peak_; }
     ///@}
 
-    /**
-     * Checkpoint state. Waiter closures are opaque, so the entry table is
-     * digest-only coverage: the writer records outstanding lines (sorted)
-     * and waiter counts; the reader discards them, leaving the fresh
-     * table empty. Direct restore therefore requires a drained table
-     * (final checkpoints); mid-run restore goes through replay, which
-     * rebuilds entries naturally. Counters restore for real.
-     */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        if constexpr (A::kIsWriter) {
-            std::vector<std::pair<LineAddr, std::size_t>> entries;
-            entries.reserve(size_);
-            for (const Slot &s : slots_) {
-                if (s.head)
-                    entries.emplace_back(s.line, chain_length(s.head));
-            }
-            std::sort(entries.begin(), entries.end());
-            ar.shadow(size_);
-            for (const auto &[line, waiters] : entries) {
-                ar.shadow(line);
-                ar.shadow(waiters);
-            }
-        } else {
-            std::uint64_t n = 0;
-            ar.field(n);
-            for (std::uint64_t i = 0; i < n; ++i) {
-                ar.shadow(0);
-                ar.shadow(0);
-            }
-        }
-        ar.field(allocated_);
-        ar.field(merged_);
-        std::uint64_t peak = peak_;
-        ar.field(peak);
-        peak_ = static_cast<std::size_t>(peak);
-    }
-
   private:
     /** One entry; a slot is empty exactly when head is null. */
     struct Slot

@@ -114,59 +114,14 @@ class SetAssocCache
     std::uint64_t writebacks() const { return writebacks_; }
     ///@}
 
-    /** Checkpoint state: tags, replacement state, and counters. Geometry
-     *  (sets/ways/indexing) is configuration and must already match. */
-    template <class A>
-    void
-    state(A &ar)
-    {
-        // One (line, valid, dirty, version) record per way, in way order.
-        std::vector<WayRecord> ways(tags_.size());
-        for (std::size_t i = 0; i < ways.size(); ++i)
-            ways[i] = WayRecord{tags_[i] & ~kValidBit, (tags_[i] & kValidBit) != 0,
-                                dirty_[i] != 0, versions_[i]};
-        ar.objs(ways);
-        if constexpr (!A::kIsWriter) {
-            for (std::size_t i = 0; i < ways.size(); ++i) {
-                tags_[i] = ways[i].line | (ways[i].valid ? kValidBit : 0);
-                dirty_[i] = ways[i].dirty;
-                versions_[i] = ways[i].version;
-            }
-        }
-        ar.objs(repl_);
-        ar.field(hits_);
-        ar.field(misses_);
-        ar.field(fills_);
-        ar.field(evictions_);
-        ar.field(writebacks_);
-    }
-
   private:
     /**
-     * Tag of a valid way: its line with this bit set. Invalidation clears
-     * the bit and keeps the stale line, which state() still reports. No
-     * real line address reaches bit 63 (lines are byte addresses / 128).
+     * Tag of a valid way: its line with this bit set. Invalidation and
+     * flush only clear the bit, so a lookup that masks nothing can never
+     * match an invalid way. No real line address reaches bit 63 (lines
+     * are byte addresses / 128).
      */
     static constexpr std::uint64_t kValidBit = std::uint64_t{1} << 63;
-
-    /** Checkpoint view of one way. */
-    struct WayRecord
-    {
-        LineAddr line = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t version = 0;
-
-        template <class A>
-        void
-        state(A &ar)
-        {
-            ar.field(line);
-            ar.field(valid);
-            ar.field(dirty);
-            ar.field(version);
-        }
-    };
 
     /** Index of @p set's way 0 in the per-way arrays. */
     std::size_t base_of(std::uint32_t set) const

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -26,7 +25,6 @@ namespace morpheus {
 
 class MorpheusController;
 class ExtendedLlc;
-class GpuSystem;
 
 /** In-run fault kinds injectable through RunControls (FaultPlan). */
 enum class RunFault : std::uint8_t
@@ -45,21 +43,13 @@ class InjectedFault : public std::runtime_error
 };
 
 /**
- * Optional controls for GpuSystem::run: periodic checkpoint capture,
- * cooperative cancellation (watchdog timeouts), and deterministic in-run
- * fault injection. Default-constructed controls reproduce the plain run()
- * byte for byte — the chunked event loop is bit-identical to an unchunked
- * one, and the cancel poll only adds atomic loads.
+ * Optional controls for GpuSystem::run: cooperative cancellation
+ * (watchdog timeouts) and deterministic in-run fault injection.
+ * Default-constructed controls reproduce the plain run() byte for byte —
+ * the cancel poll only adds atomic loads.
  */
 struct RunControls
 {
-    /** Capture a checkpoint every N cycles (0 = never). */
-    Cycle checkpoint_every = 0;
-
-    /** Called at each checkpoint boundary; @p final is true when the run
-     *  completed (event queue drained) at or before the boundary. */
-    std::function<void(GpuSystem &sys, Cycle boundary, bool final)> on_checkpoint;
-
     /** Cooperative cancellation token (see EventQueue::run_until). */
     const std::atomic<bool> *cancel = nullptr;
 
@@ -136,8 +126,8 @@ struct RunResult
     double avg_watts = 0;
     double perf_per_watt = 0;  ///< IPC / W
 
-    /** Serialization for the sweep journal (resume after SIGKILL): every
-     *  field travels, doubles as bit patterns, so a journaled result is
+    /** Serialization for the result cache's .mrce payload: every field
+     *  travels, doubles as bit patterns, so a cached result is
      *  byte-identical to a recomputed one. */
     template <class A>
     void
@@ -196,23 +186,8 @@ class GpuSystem : public LlcRouter
     /** Runs the workload to completion and gathers all statistics. */
     RunResult run();
 
-    /** run() with checkpoint/cancellation/fault controls. */
+    /** run() with cancellation/fault controls. */
     RunResult run(const RunControls &rc);
-
-    /**
-     * @name Checkpoint/restore (docs/CHECKPOINT_FORMAT.md)
-     * begin() arms the workload and the SMs without running — the restore
-     * path uses it to replay a checkpoint prefix through event_queue()
-     * directly. save_state()/load_state() serialize the component tree in
-     * a fixed order; collect_results() derives the RunResult from the
-     * (restored) component state.
-     */
-    ///@{
-    void begin();
-    void save_state(StateWriter &w);
-    void load_state(StateReader &r);
-    RunResult collect_results() { return collect(); }
-    ///@}
 
     // LlcRouter
     void to_llc(Cycle when, const MemRequest &req, RespFn resp) override;
@@ -238,9 +213,6 @@ class GpuSystem : public LlcRouter
   private:
     RunResult collect();
     void trigger_fault(const RunControls &rc);
-
-    template <class A>
-    void state_impl(A &ar);
 
     SystemSetup setup_;
     Workload &workload_;

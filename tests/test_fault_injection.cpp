@@ -1,14 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <atomic>
 #include <string>
-#include <vector>
 
 #include "harness/fault_plan.hpp"
 #include "harness/report.hpp"
 #include "harness/sweep_engine.hpp"
-#include "harness/sweep_journal.hpp"
 
 using namespace morpheus;
 
@@ -49,23 +46,6 @@ plan(const std::string &spec)
     EXPECT_TRUE(parse_fault_plan(spec, p, error)) << error;
     return p;
 }
-
-std::string
-tmp_journal(const char *tag)
-{
-    return std::string(::testing::TempDir()) + "morpheus_journal_" + tag + ".mjrn";
-}
-
-class TempFile
-{
-  public:
-    explicit TempFile(std::string path) : path_(std::move(path)) { std::remove(path_.c_str()); }
-    ~TempFile() { std::remove(path_.c_str()); }
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 } // namespace
 
@@ -276,154 +256,49 @@ TEST(FaultInjection, JobsOneVsManyIdenticalUnderFaults)
 }
 
 // ---------------------------------------------------------------------------
-// Journal + resume
+// RunControls (the in-run cancel and fault hooks the engine drives)
 
-TEST(Journal, RoundTripAndResumeSkipsCompletedJobs)
+TEST(RunControls, DefaultControlsMatchPlainRun)
 {
-    TempFile journal(tmp_journal("resume"));
-
-    SweepEngine first(2);
-    SweepConfig cfg;
-    cfg.journal_path = journal.path();
-    first.set_config(cfg);
-    queue_jobs(first);
-    const auto expect = first.run_all();
-
-    std::vector<SweepJournalEntry> entries;
-    std::string error;
-    ASSERT_TRUE(load_sweep_journal(journal.path(), entries, error)) << error;
-    ASSERT_EQ(entries.size(), 4u);
-
-    // Resume with a poison fault plan that would sink EVERY job it
-    // actually executes: success proves the journal satisfied them all.
-    SweepEngine resumed(2);
-    SweepConfig cfg2;
-    cfg2.journal_path = journal.path();
-    cfg2.resume = true;
-    cfg2.fault = plan("throw@run=0,times=99");
-    cfg2.retries = 0;
-    resumed.set_config(cfg2);
-    queue_jobs(resumed);
-    const auto got = resumed.run_all(); // non-tolerant: would throw if any job ran
-
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].label, expect[i].label);
-        EXPECT_TRUE(run_results_identical(got[i].value, expect[i].value)) << "job " << i;
-    }
-}
-
-TEST(Journal, PartialJournalRunsOnlyMissingJobs)
-{
-    TempFile journal(tmp_journal("partial"));
-
-    SweepEngine first(2);
-    SweepConfig cfg;
-    cfg.journal_path = journal.path();
-    first.set_config(cfg);
-    queue_jobs(first);
-    const auto expect = first.run_all();
-
-    // Simulate a crash after two completed jobs: drop journal lines.
-    std::vector<SweepJournalEntry> entries;
-    std::string error;
-    ASSERT_TRUE(load_sweep_journal(journal.path(), entries, error));
-    ASSERT_EQ(entries.size(), 4u);
-    {
-        std::ifstream in(journal.path());
-        std::string line, kept;
-        int n = 0;
-        while (std::getline(in, line) && n < 2) {
-            kept += line + "\n";
-            ++n;
-        }
-        std::ofstream out(journal.path(), std::ios::trunc);
-        out << kept;
-    }
-
-    SweepEngine resumed(2);
-    SweepConfig cfg2;
-    cfg2.journal_path = journal.path();
-    cfg2.resume = true;
-    resumed.set_config(cfg2);
-    queue_jobs(resumed);
-    const auto got = resumed.run_all();
-
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(run_results_identical(got[i].value, expect[i].value)) << "job " << i;
-
-    // The journal now holds the re-run jobs again (appended).
-    ASSERT_TRUE(load_sweep_journal(journal.path(), entries, error));
-    EXPECT_EQ(entries.size(), 4u);
-}
-
-TEST(Journal, TornTailLineIsDropped)
-{
-    TempFile journal(tmp_journal("torn"));
-
-    SweepEngine engine(1);
-    SweepConfig cfg;
-    cfg.journal_path = journal.path();
-    engine.set_config(cfg);
-    queue_jobs(engine);
-    engine.run_all();
-
-    // A SIGKILL mid-write leaves an unterminated or garbled tail.
-    {
-        std::ofstream out(journal.path(), std::ios::app);
-        out << "mjrn1 4 6a34 deadbee"; // no newline, odd hex
-    }
-    std::vector<SweepJournalEntry> entries;
-    std::string error;
-    ASSERT_TRUE(load_sweep_journal(journal.path(), entries, error));
-    EXPECT_EQ(entries.size(), 4u);
-
-    // Garbage in the middle ends parsing at the garbage, keeping the
-    // prefix (journals are append-only; anything after corruption is
-    // suspect).
-    {
-        std::ofstream out(journal.path(), std::ios::trunc);
-        out << "mjrn1 0 6a30 nothex\n";
-    }
-    ASSERT_TRUE(load_sweep_journal(journal.path(), entries, error));
-    EXPECT_TRUE(entries.empty());
-}
-
-TEST(Journal, MissingFileIsEmptyJournal)
-{
-    std::vector<SweepJournalEntry> entries;
-    std::string error;
-    ASSERT_TRUE(load_sweep_journal(tmp_journal("never_written"), entries, error));
-    EXPECT_TRUE(entries.empty());
-}
-
-TEST(Journal, StaleJournalFromDifferentSweepIsIgnored)
-{
-    TempFile journal(tmp_journal("stale"));
-
-    SweepEngine first(1);
-    SweepConfig cfg;
-    cfg.journal_path = journal.path();
-    first.set_config(cfg);
-    queue_jobs(first); // labels j0..j3
-    first.run_all();
-
-    // A different sweep (different labels) resuming against this journal
-    // must ignore every entry and recompute.
-    SweepEngine other(1);
-    RunReport report("other");
-    other.set_report(&report);
-    SweepConfig cfg2;
-    cfg2.journal_path = journal.path();
-    cfg2.resume = true;
-    cfg2.tolerant = true;
-    other.set_config(cfg2);
     SystemSetup setup;
-    setup.compute_sms = 4;
-    other.add(setup, tiny_app("different"), "different-label");
-    const auto got = other.run_all();
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_GT(got[0].value.cycles, 0u); // actually ran
+    setup.compute_sms = 8;
+    setup.morpheus.enabled = true;
+    setup.morpheus.cache_sms = 4;
+    const WorkloadParams p = tiny_app("controls");
+    EXPECT_TRUE(run_results_identical(run_setup(setup, p),
+                                      run_setup_controlled(setup, p, RunControls{})));
+}
+
+TEST(RunControls, CancellationThrows)
+{
+    SystemSetup setup;
+    setup.compute_sms = 8;
+    std::atomic<bool> cancel{true};
+    RunControls rc;
+    rc.cancel = &cancel;
+    EXPECT_THROW(run_setup_controlled(setup, tiny_app("cancel"), rc), SimulationCancelled);
+}
+
+TEST(RunControls, InjectedThrowFaultFires)
+{
+    SystemSetup setup;
+    setup.compute_sms = 8;
+    RunControls rc;
+    rc.fault = RunFault::kThrow;
+    rc.fault_cycle = 1'000;
+    EXPECT_THROW(run_setup_controlled(setup, tiny_app("fault"), rc), InjectedFault);
+}
+
+TEST(RunControls, DisarmedFaultPlanIsHarmless)
+{
+    // fault == kNone must not schedule anything, whatever fault_cycle says.
+    SystemSetup setup;
+    setup.compute_sms = 8;
+    const WorkloadParams p = tiny_app("fault-none");
+    RunControls rc;
+    rc.fault = RunFault::kNone;
+    rc.fault_cycle = 1'000;
+    EXPECT_TRUE(run_results_identical(run_setup_controlled(setup, p, rc), run_setup(setup, p)));
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@
 
 #include "cache/mshr.hpp"
 #include "sim/rng.hpp"
-#include "sim/state_io.hpp"
 
 using namespace morpheus;
 
@@ -239,21 +238,6 @@ TEST(Mshr, RandomizedAgainstMapModel)
     EXPECT_EQ(mshrs.allocated(), allocated);
     EXPECT_EQ(mshrs.merged(), merged);
     EXPECT_EQ(mshrs.peak_occupancy(), peak);
-
-    // The checkpoint digest stream: count, then (line, waiters) in line
-    // order, then the counters.
-    StateWriter got;
-    mshrs.state(got);
-    StateWriter want;
-    want.shadow(model.size());
-    for (const auto &[line, waiters] : model) {
-        want.shadow(line);
-        want.shadow(waiters.size());
-    }
-    want.field(allocated);
-    want.field(merged);
-    want.field(static_cast<std::uint64_t>(peak));
-    EXPECT_EQ(got.bytes(), want.bytes());
 }
 
 TEST(Mshr, SteadyStateAllocatesNothing)

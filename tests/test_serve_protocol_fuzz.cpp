@@ -61,8 +61,9 @@ assert_well_formed(const std::string &response)
         << error << " in response: " << response;
     const std::string status = v.string_or("status", "");
     EXPECT_FALSE(status.empty()) << response;
-    if (status == "error")
+    if (status == "error") {
         EXPECT_FALSE(v.string_or("code", "").empty()) << response;
+    }
     return status;
 }
 
@@ -324,8 +325,9 @@ TEST(ServeFuzz, AbruptDisconnectsNeverWedgeTheDaemon)
           std::string("\x01\x02\x03garbage without newline")}) {
         const int fd = connect_loopback(live.port());
         ASSERT_GE(fd, 0);
-        if (!partial.empty())
+        if (!partial.empty()) {
             ASSERT_TRUE(send_all(fd, partial));
+        }
         ::close(fd); // mid-line disconnect
     }
 

@@ -13,7 +13,7 @@
  *       [--identical]           require bit-identical compared content
  *                               (reports_identical: tolerances ignored;
  *                               environment (jobs, wall_ms) still exempt —
- *                               the kill-and-resume CI gate)
+ *                               the CI cache crash drill's gate)
  *       [--quiet]               print only the verdict line
  *
  * Exit codes: 0 = within tolerance, 1 = regression (or context
