@@ -45,7 +45,15 @@ Sm::schedule_issue(Cycle when)
     issue_pending_ = true;
     issue_event_at_ = when;
     ++issue_events_;
-    ctx_.eq->schedule(when, [this] { issue(); });
+    // Arming earlier supersedes the pending event instead of cancelling
+    // it. Only an event whose arm time is the live one issues, so a
+    // superseded event neither issues nor re-arms a second chain. Of two
+    // events armed for the same cycle the earlier-armed one issues; a
+    // generation counter would pick the later one and change results.
+    ctx_.eq->schedule(when, [this, when] {
+        if (issue_pending_ && issue_event_at_ == when)
+            issue();
+    });
 }
 
 void

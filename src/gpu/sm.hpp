@@ -45,7 +45,11 @@ class Sm
     std::uint64_t instructions() const { return instructions_; }
     std::uint64_t mem_instructions() const { return mem_instructions_; }
     Cycle finish_time() const { return finish_time_; }
-    /** Issue events armed so far (the dedup-guard regression counter). */
+    /**
+     * Issue events armed so far, superseded ones included. At most one
+     * armed event is live at a time, so this stays linear in the steps
+     * issued (the dedup-guard regression counter).
+     */
     std::uint64_t issue_events() const { return issue_events_; }
     ///@}
 
@@ -94,9 +98,13 @@ class Sm
     std::vector<std::uint32_t> step_counters_;
     std::vector<std::uint32_t> counter_free_;
 
-    /** True while an issue event is armed (dedup guard). */
+    /**
+     * One live issue event per SM: true while it is armed and has not yet
+     * run. Arming earlier than it moves `issue_event_at_` and leaves the
+     * old event in the queue as a no-op.
+     */
     bool issue_pending_ = false;
-    /** Time of the earliest armed issue event (valid when pending). */
+    /** Arm time of the live issue event (valid when pending). */
     Cycle issue_event_at_ = 0;
     std::uint64_t issue_events_ = 0;
 

@@ -299,22 +299,23 @@ CacheModeSm::storage_access(std::uint32_t s, std::uint32_t bytes)
 }
 
 void
-CacheModeSm::dram_round_trip(Cycle when, LineAddr line, std::function<void(Cycle)> on_data)
+CacheModeSm::dram_round_trip(Cycle when, std::uint32_t s, Cycle start)
 {
     // Kernel-side miss: cache-mode SM -> NoC -> home partition -> DRAM
     // channel -> NoC -> cache-mode SM, bypassing the conventional LLC.
     // The return transfer is reserved by an event at fetch completion so
     // that port reservations stay monotonic in time.
     auto &parts = *partitions_;
+    const LineAddr line = sets_[s].queue.front().req.line;
     const std::uint32_t p = partition_of(line, static_cast<std::uint32_t>(parts.size()));
     ctx_.energy->add_noc_bytes(ctx_.noc->params().header_bytes);
     const Cycle at_partition = ctx_.noc->sm_to_partition(when, sm_id_, p, 0);
     const Cycle fetched = parts[p]->dram_fetch(at_partition, line);
-    ctx_.eq->schedule(fetched, [this, p, on_data = std::move(on_data)] {
+    ctx_.eq->schedule(fetched, [this, p, s, start] {
         ctx_.energy->add_noc_bytes(kLineBytes + ctx_.noc->params().header_bytes);
         const Cycle data_at_sm =
             ctx_.noc->partition_to_sm(ctx_.eq->now(), p, sm_id_, kLineBytes);
-        on_data(data_at_sm);
+        ctx_.eq->schedule(data_at_sm, [this, s, start] { service_miss_fill(s, start); });
     });
 }
 
@@ -507,14 +508,8 @@ CacheModeSm::service(Cycle when, std::uint32_t s)
     // NoC/DRAM reservations happen at monotonic event times; it launches
     // at lookup time, not `t` — the service handshake overlaps the round
     // trip rather than preceding it.
-    ctx_.eq->schedule(lookup, [this, s, start] {
-        WarpSet &wsx = sets_[s];
-        dram_round_trip(ctx_.eq->now(), wsx.queue.front().req.line,
-                        [this, s, start](Cycle data_at_sm) {
-                            ctx_.eq->schedule(data_at_sm,
-                                              [this, s, start] { service_miss_fill(s, start); });
-                        });
-    });
+    ctx_.eq->schedule(lookup,
+                      [this, s, start] { dram_round_trip(ctx_.eq->now(), s, start); });
 }
 
 void

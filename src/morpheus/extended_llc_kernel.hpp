@@ -347,9 +347,10 @@ class CacheModeSm
     /** Fires the completion callback (as an event) and pops the task. */
     void complete_task(Cycle when, std::uint32_t s, std::uint64_t version, bool hit);
 
-    /** DRAM round trip (NoC + channel) for a kernel-side miss; invokes
-     *  @p on_data with the block's arrival time at this SM. */
-    void dram_round_trip(Cycle when, LineAddr line, std::function<void(Cycle)> on_data);
+    /** DRAM round trip (NoC + channel) for the head task of set @p s,
+     *  a kernel-side miss; runs service_miss_fill(s, start) when the
+     *  block arrives at this SM. */
+    void dram_round_trip(Cycle when, std::uint32_t s, Cycle start);
     void writeback(Cycle when, LineAddr line, std::uint64_t version);
 
     /** Charges @p instrs to the issue port starting at @p when;

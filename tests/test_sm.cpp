@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "gpu/sm.hpp"
+#include "harness/system_config.hpp"
 #include "test_util.hpp"
+#include "workloads/app_catalog.hpp"
 #include "workloads/synthetic_workload.hpp"
 
 using namespace morpheus;
@@ -191,4 +195,147 @@ TEST(Sm, NoDuplicateIssueEventForWarpsLaunchedAtCycleZero)
     // both warps), and ONE armed by the two same-cycle completions — the
     // second completion must be suppressed by the pending-event guard.
     EXPECT_EQ(sm.issue_events(), 2u);
+}
+
+namespace {
+
+/** Index of the first SM whose warps 0 and 1 both launch with zero stagger. */
+std::uint32_t
+zero_stagger_sm()
+{
+    for (std::uint64_t i = 0;; ++i)
+        if (mix64(i * 131) % 512 == 0 && mix64(i * 131 + 1) % 512 == 0)
+            return static_cast<std::uint32_t>(i);
+}
+
+/**
+ * Warp 0 runs one single-line read step; warp 1 runs `alu_steps` pure-ALU
+ * steps of `alu_instrs` instructions each. Logs the cycle of every
+ * next_step() call per warp.
+ */
+class SupersedeWorkload : public Workload
+{
+  public:
+    SupersedeWorkload(const EventQueue &eq, std::uint32_t alu_steps, std::uint32_t alu_instrs)
+        : eq_(eq), alu_steps_(alu_steps), alu_instrs_(alu_instrs)
+    {
+    }
+
+    const WorkloadInfo &info() const override { return info_; }
+    void configure(std::uint32_t) override {}
+    std::uint32_t warps_on(std::uint32_t) const override { return 2; }
+
+    bool
+    next_step(std::uint32_t, std::uint32_t warp, WarpStep &out) override
+    {
+        calls[warp].push_back(eq_.now());
+        const std::uint32_t n = static_cast<std::uint32_t>(calls[warp].size());
+        out = WarpStep{};
+        if (warp == 0) {
+            out.num_lines = 1;
+            out.lines[0] = 0x2000;
+            out.type = AccessType::kRead;
+            return n == 1;
+        }
+        out.alu_instrs = alu_instrs_;
+        return n <= alu_steps_;
+    }
+
+    Block synthesize_block(LineAddr) const override { return Block{}; }
+
+    std::vector<Cycle> calls[2];
+
+  private:
+    const EventQueue &eq_;
+    std::uint32_t alu_steps_;
+    std::uint32_t alu_instrs_;
+    WorkloadInfo info_{"supersede", true};
+};
+
+} // namespace
+
+TEST(Sm, SupersededIssueEventNeitherIssuesNorRearms)
+{
+    // Regression: issue() cleared `issue_pending_` for every issue event
+    // that fired, including one that complete_mem had superseded by
+    // arming an earlier event. The stale event then armed a second issue
+    // chain, every chain re-armed forever, and each later early re-arm
+    // added another.
+    //
+    // Script (issue width 1, zero launch stagger, one memory credit):
+    //   t=0     event 1 (start): warp 0 issues a read and blocks on its
+    //           credit; warp 1 issues 1000 ALU instructions, ready again
+    //           at 1001, which arms event 2 at 1001.
+    //   t=R     warp 0's read completes (R < 1001) and arms event 3 at R,
+    //           superseding event 2. Event 3 retires warp 0 and re-arms
+    //           issue at 1001 (event 4).
+    //   t=1001  event 2 runs warp 1's next step and arms event 5 at 2001;
+    //           event 4, now redundant, must neither issue nor re-arm.
+    // Then one event per remaining ALU step: kAluSteps + 3 in all. With
+    // the bug, event 4 re-armed a second chain, and from t=1001 on two
+    // events were armed per step.
+    constexpr std::uint32_t kAluSteps = 4;
+    constexpr Cycle kAlu = 1000;
+
+    TestFabric fabric;
+    fabric.cfg.issue_width = 1;
+    fabric.cfg.l1_latency = 10;
+    fabric.cfg.warp_mem_credits = 1;
+    FakeRouter router(fabric, 100);
+    SupersedeWorkload wl(fabric.eq, kAluSteps, kAlu);
+    Sm sm(zero_stagger_sm(), fabric.ctx(), &router, &wl);
+    sm.start();
+
+    // Between warp 1's second and third steps, only events 1-5 are armed.
+    std::uint64_t armed_mid_run = 0;
+    fabric.eq.schedule(kAlu + 1 + kAlu / 2, [&] { armed_mid_run = sm.issue_events(); });
+    // A probe queued at 1001 after event 2 but before event 4 (it is
+    // scheduled at t=1): the earlier-armed event 2 has already issued
+    // warp 1's step. Letting the later-armed event issue instead (a
+    // generation counter) reorders same-cycle work and changes results.
+    std::size_t warp1_steps_at_probe = 0;
+    fabric.eq.schedule(1, [&] {
+        fabric.eq.schedule(kAlu + 1, [&] { warp1_steps_at_probe = wl.calls[1].size(); });
+    });
+    fabric.eq.run();
+
+    EXPECT_TRUE(sm.done());
+    EXPECT_EQ(sm.mem_instructions(), 1u);
+    EXPECT_EQ(sm.instructions(), 1u + kAluSteps * kAlu);
+    ASSERT_EQ(wl.calls[0].size(), 2u);
+    EXPECT_EQ(wl.calls[0][0], 0u);
+    EXPECT_GT(wl.calls[0][1], 0u);
+    EXPECT_LT(wl.calls[0][1], kAlu + 1);  // the completion superseded event 2
+    // Warp 1 issues once per step, exactly when it becomes ready: the
+    // redundant event at 1001 issued nothing of its own.
+    const std::vector<Cycle> expected_warp1 = {0, 1001, 2001, 3001, 4001};
+    EXPECT_EQ(wl.calls[1], expected_warp1);
+    EXPECT_EQ(warp1_steps_at_probe, 2u);
+    EXPECT_EQ(armed_mid_run, 5u);
+    EXPECT_EQ(sm.issue_events(), kAluSteps + 3);
+}
+
+TEST(SmSystem, LibOnBaselineArmsIssueEventsLinearInMemorySteps)
+{
+    // `lib` on BL at a tenth of its catalog budget, built here rather than
+    // through MORPHEUS_WORK_SCALE. The working set shrinks the way the
+    // catalog shrinks it for scales below 0.35.
+    AppSpec app = *find_app("lib");
+    app.params.total_mem_instrs = 26'000;
+    app.params.shared_ws_bytes = 2 * 1024 * 1024 * 35 / 100;
+    SyntheticWorkload wl(app.params);
+    GpuSystem sys(make_system(SystemKind::kBL, app), wl);
+    sys.run();
+
+    std::uint64_t issue_events = 0;
+    std::uint64_t mem_steps = 0;
+    for (std::uint32_t i = 0; i < sys.num_compute_sms(); ++i) {
+        issue_events += sys.sm(i).issue_events();
+        mem_steps += sys.sm(i).mem_instructions();
+    }
+    EXPECT_EQ(mem_steps, 26'000u);
+    // With one live issue event per SM this run arms about 34k events.
+    // When superseded events re-armed (the chain-doubling bug), it armed
+    // over a million, and the count grew faster than the run length.
+    EXPECT_LE(issue_events, 2 * mem_steps + sys.num_compute_sms());
 }
